@@ -136,7 +136,10 @@ class Cost(NamedTuple):
 class Circuit:
     """An immutable port graph. Use the ``mk_*`` constructors to build one."""
 
-    __slots__ = ("nodes", "edges", "outputs", "_in", "_out", "_topo", "_canon", "_fp")
+    __slots__ = (
+        "nodes", "edges", "outputs", "_in", "_out",
+        "_topo", "_canon", "_fp", "_violations", "_cols",
+    )
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge], outputs: Iterable[int]):
         self.nodes = {n.id: n for n in nodes}
@@ -147,6 +150,8 @@ class Circuit:
         self._topo = None
         self._canon = None
         self._fp = None
+        self._violations = None
+        self._cols = None  # (variable order, output columns), see semantics._columns
 
     def node(self, nid: int) -> Node:
         return self.nodes[nid]
@@ -515,7 +520,16 @@ def cost(c: Circuit) -> Cost:
 
 
 def validate(c: Circuit) -> list[str]:
-    """Every violated structural invariant, or [] if the circuit is well-formed."""
+    """Every violated structural invariant, or [] if the circuit is well-formed.
+
+    Found once per circuit (circuits are immutable); each call returns a new list.
+    """
+    if c._violations is None:
+        c._violations = tuple(_find_violations(c))
+    return list(c._violations)
+
+
+def _find_violations(c: Circuit) -> list[str]:
     v: list[str] = []
     if not c.outputs:
         v.append("circuit has no outputs")

@@ -218,6 +218,9 @@ def main(argv=None) -> int:
     except (WaveLogicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

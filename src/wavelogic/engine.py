@@ -120,7 +120,7 @@ def simplify(
     lexicographically smallest cost is taken, with ties broken by rule order,
     direction (left-to-right first) and site order. Stops at a local minimum.
 
-    With ``exhaustive=True`` (circuits of at most 10 nodes) the whole rewrite
+    With ``exhaustive=True`` (circuits of at most 16 nodes) the whole rewrite
     neighbourhood up to ``budget`` steps is explored instead and the cheapest
     reachable circuit is returned; greedy local minima cannot trap it.
     """

@@ -7,7 +7,10 @@ renormalises; the pre-normalisation sum of three odd units is odd, so it lies
 in {-3, -1, +1, +3} and total destructive interference cannot occur.
 
 Truth tables enumerate every assignment in canonical order (first variable is
-the most significant bit) and define operational equality of circuits.
+the most significant bit) and define operational equality of circuits. They
+are computed bit-parallel: one pass over the circuit carries, on each wire, an
+integer with one bit per row. The phasor simulator is the reference semantics;
+the tests hold the table kernel to it row for row.
 """
 
 from __future__ import annotations
@@ -104,7 +107,10 @@ def eval_bit(
 @dataclass(frozen=True)
 class TruthTable:
     """Exhaustive table: ``rows[i]`` holds the output bits for the assignment
-    whose binary encoding is ``i`` with ``vars[0]`` as the most significant bit."""
+    whose binary encoding is ``i`` with ``vars[0]`` as the most significant bit.
+
+    ``truth_table`` fills it from bit-parallel columns; it agrees row for row
+    with the phasor simulator (``eval_wave``), which is the reference."""
 
     vars: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -159,16 +165,65 @@ def truth_table(
         if violations:
             raise ValidationError(violations)
 
+    key = tuple(names)
+    cols = [col for c in circuits for col in _columns(c, key)]
+    size = 1 << len(key)
+    if not cols:
+        return TruthTable(key, ((),) * size)
+    # format() writes row size-1 first; reversed, byte i is the bit of row i.
+    bits = [format(col, f"0{size}b").encode().translate(_ASCII_BITS)[::-1] for col in cols]
+    return TruthTable(key, tuple(zip(*bits)))
+
+
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _var_mask(n: int, k: int) -> int:
+    """Rows where variable ``k`` of ``n`` is 1 (``k = 0`` is the most significant)."""
+    half = 1 << (n - 1 - k)
+    mask = ((1 << half) - 1) << half
+    width = 2 * half
+    while width < 1 << n:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def _columns(c: Circuit, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Each output's column over the rows of ``names``: bit ``i`` is the output
+    bit at row ``i``. A wire value is the set of rows where it carries phase pi.
+
+    The result is kept on the circuit for the last ``names`` it was asked for;
+    ``c`` must already be valid.
+    """
+    memo = c._cols
+    if memo is not None and memo[0] == names:
+        return memo[1]
     n = len(names)
-    rows = []
-    for index in range(1 << n):
-        sigma = {v: (index >> (n - 1 - k)) & 1 for k, v in enumerate(names)}
-        bits = []
-        for c in circuits:
-            out_vals, _ = _propagate(c, sigma)
-            bits.extend(phasor_to_bit(out_vals[o]) for o in c.outputs)
-        rows.append(tuple(bits))
-    return TruthTable(tuple(names), tuple(rows))
+    ones = (1 << (1 << n)) - 1
+    masks = {v: _var_mask(n, k) for k, v in enumerate(names)}
+    value: dict[int, int] = {}
+    for nid in topo_order(c):
+        node = c.nodes[nid]
+        kind = node.kind
+        if kind is NodeKind.SOURCE:
+            value[nid] = 0
+        elif kind is NodeKind.MERGE:
+            a, b, d = (value[c.in_edge(nid, port).src] for port in range(3))
+            # Three odd unit phasors never sum to zero, so the majority is exact.
+            value[nid] = (a & b) | (a & d) | (b & d)
+        elif kind is NodeKind.SHIFT:
+            v = value[c.in_edge(nid, 0).src]
+            p = node.param
+            if p.is_var:
+                value[nid] = v ^ masks[p.name]
+            else:
+                value[nid] = v ^ ones if p.phase.bit else v
+        else:  # COPY (all three output ports carry its input) or OUTPUT
+            value[nid] = value[c.in_edge(nid, 0).src]
+    cols = tuple(value[o] for o in c.outputs)
+    c._cols = (names, cols)
+    return cols
 
 
 def equivalent(

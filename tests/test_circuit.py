@@ -199,6 +199,18 @@ def test_validate_flags_cycle():
     assert any("cycle" in v for v in violations)
 
 
+def test_validate_returns_a_fresh_list_each_call():
+    c = Circuit([Node(0, NodeKind.SOURCE), Node(1, NodeKind.OUTPUT)], [], [1])
+    first = validate(c)
+    assert first
+    expected = list(first)
+    first.clear()
+    assert validate(c) == expected
+    good = mk_var("a")
+    validate(good).append("injected")
+    assert validate(good) == []
+
+
 def test_validate_fuzz_constructor_compositions():
     rng = random.Random(77)
     for _ in range(10_000):

@@ -119,3 +119,10 @@ def test_cli_deterministic_output(capsys):
     first = run(capsys, "tt", "maj(a,b,xor(a,c))")
     second = run(capsys, "tt", "maj(a,b,xor(a,c))")
     assert first == second
+
+
+def test_deeply_nested_input_is_an_error_not_a_traceback(capsys):
+    code, out, err = run(capsys, "tt", "not(" * 1200 + "a" + ")" * 1200)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -8,8 +8,16 @@ import pytest
 
 from wavelogic import (
     BudgetError,
+    Circuit,
     Direction,
+    Edge,
+    Node,
+    NodeKind,
+    PhaseParam,
+    RewriteError,
+    RewriteRule,
     StaleSiteError,
+    ValidationError,
     analyze,
     apply,
     base_rules,
@@ -28,6 +36,7 @@ from wavelogic import (
     replay,
     simplify,
     to_boolean,
+    truth_table,
 )
 from wavelogic.engine import DerivationTrace
 
@@ -86,6 +95,34 @@ def test_apply_checked_mode():
     c = mk_maj(mk_var("a"), mk_var("a"), mk_var("b"))
     site = find_matches(c, "M", Direction.LR)[0]
     assert equivalent(apply(c, site, checked=True), mk_var("a"))
+
+
+def test_every_check_raises_on_every_call(monkeypatch):
+    # Validity and tables are kept on each circuit; a repeated call must still fail.
+    nodes = [
+        Node(0, NodeKind.SOURCE),
+        Node(1, NodeKind.SHIFT, PhaseParam.var("a")),
+        Node(2, NodeKind.OUTPUT),
+        Node(3, NodeKind.MERGE),
+    ]
+    invalid = Circuit(nodes, [Edge(0, 0, 1, 0), Edge(1, 0, 2, 0)], [2])
+    c = mk_not(mk_not(mk_var("a")))
+    site = find_matches(c, "F", Direction.LR)[0]
+    wrong = mk_not(mk_var("a"))
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            truth_table(invalid)
+        with pytest.raises(ValidationError):
+            equivalent(mk_var("a"), invalid)
+    monkeypatch.setattr(RewriteRule, "apply", lambda rule, circuit, s: invalid)
+    for _ in range(3):
+        with pytest.raises(RewriteError, match="invalid circuit"):
+            apply(c, site)
+    monkeypatch.setattr(RewriteRule, "apply", lambda rule, circuit, s: wrong)
+    assert apply(c, site) is wrong
+    for _ in range(3):
+        with pytest.raises(RewriteError, match="changed the truth table"):
+            apply(c, site, checked=True)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from wavelogic import (
+    CircuitBundle,
+    Const,
     EvaluationError,
+    Maj,
+    Not,
+    TruthTable,
     TableTooLargeError,
     compose_series,
     equivalent,
@@ -29,7 +34,7 @@ from wavelogic import (
     variables,
     wire,
 )
-from conftest import random_circuit, random_expr
+from conftest import VAR_NAMES, random_circuit, random_expr
 
 
 def test_majority_interference_two_ones():
@@ -175,3 +180,54 @@ def test_truth_table_lift_onto_superset():
         sigma = lifted.assignment_for_row(i)
         base_index = (sigma["a"] << 1) | sigma["b"]
         assert row == base.rows[base_index]
+
+
+def _phasor_row(c, sigma):
+    return tuple((1 - w) // 2 for w in eval_wave(c, sigma))
+
+
+def test_table_kernel_matches_phasor_simulator_and_boolean_oracle():
+    rng = random.Random(2026)
+    for i in range(240):
+        expr = random_expr(rng, rng.randint(0, 4), n_vars=4)
+        c = from_boolean(expr)
+        names = variables(c)
+        if i % 2:
+            # a permuted superset of the circuit's own variables
+            names = names + [v for v in VAR_NAMES if v not in names][: rng.randint(1, 2)]
+            rng.shuffle(names)
+        table = truth_table(c, vars=names)
+        assert table.vars == tuple(names)
+        assert len(table.rows) == 1 << len(names)
+        for index, row in enumerate(table.rows):
+            sigma = table.assignment_for_row(index)
+            assert row == _phasor_row(c, sigma)
+            assert row == (eval_bool(expr, sigma),)
+
+
+def test_table_kernel_on_a_bundle_over_a_permuted_superset():
+    adder = full_adder()
+    names = ["b", "zz", "c_in", "a"]
+    table = truth_table(adder, vars=names)
+    assert table.vars == tuple(names)
+    for index, row in enumerate(table.rows):
+        sigma = table.assignment_for_row(index)
+        assert row == tuple(eval_bit(adder, sigma)[name] for name in adder.names)
+        assert row == tuple(b for _, c in adder.items() for b in _phasor_row(c, sigma))
+
+
+def test_table_kernel_with_zero_variables():
+    for expr in (Const(0), Const(1), Not(Const(0)), Maj(Const(0), Const(1), Not(Const(0)))):
+        c = from_boolean(expr)
+        table = truth_table(c)
+        assert table.vars == ()
+        assert table.rows == (_phasor_row(c, {}),) == ((eval_bool(expr, {}),),)
+    assert truth_table(wire()).rows == ((0,),)
+    assert truth_table(mk_const(1), vars=["a"]).rows == ((1,), (1,))
+    assert truth_table(CircuitBundle(()), vars=["a"]).rows == ((), ())
+
+
+def test_truth_table_built_positionally_compares_by_value():
+    table = truth_table(mk_xor(mk_var("a"), mk_var("b")))
+    assert TruthTable(("a", "b"), ((0,), (1,), (1,), (0,))) == table
+    assert TruthTable(("a", "b"), ((0,), (1,), (1,), (1,))) != table
